@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace airfedga::channel {
@@ -26,19 +27,52 @@ FadingChannel::FadingChannel(std::size_t num_workers, Config cfg) : n_(num_worke
   }
 }
 
-std::vector<double> FadingChannel::gains(std::size_t round) const {
+util::Rng FadingChannel::round_stream(std::size_t round) const {
   // One deterministic sub-stream per round keeps the block-fading property
   // (constant within a round) without storing any history.
-  util::Rng rng = util::Rng(cfg_.seed).fork(0xC0FFEE + round);
+  return util::Rng(cfg_.seed).fork(0xC0FFEE + round);
+}
+
+double FadingChannel::draw_gain(util::Rng& stream, std::size_t i) const {
+  return std::max(cfg_.min_gain, large_scale_[i] * stream.rayleigh(cfg_.rayleigh_scale));
+}
+
+std::vector<double> FadingChannel::gains(std::size_t round) const {
+  util::Rng rng = round_stream(round);
   std::vector<double> h(n_);
-  for (std::size_t i = 0; i < n_; ++i)
-    h[i] = std::max(cfg_.min_gain, large_scale_[i] * rng.rayleigh(cfg_.rayleigh_scale));
+  for (std::size_t i = 0; i < n_; ++i) h[i] = draw_gain(rng, i);
   return h;
 }
 
+void FadingChannel::gains_of(std::span<const std::size_t> members, std::size_t round,
+                             std::vector<double>& out) const {
+  for (auto m : members)
+    if (m >= n_) throw std::out_of_range("FadingChannel::gains_of: worker out of range");
+  std::vector<std::size_t> order(members.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return members[a] < members[b]; });
+  out.resize(members.size());
+  util::Rng rng = round_stream(round);
+  std::size_t at = 0;  // stream position == id of the next worker's draw
+  double h = 0.0;
+  for (auto i : order) {
+    const std::size_t m = members[i];
+    if (m >= at) {  // else a duplicate of the previous id: reuse its draw
+      // discard(z) is specified as z engine calls, skipping the tempering
+      // and the Rayleigh transform of every unread worker.
+      rng.engine().discard(m - at);
+      h = draw_gain(rng, m);
+      at = m + 1;
+    }
+    out[i] = h;
+  }
+}
+
 double FadingChannel::gain(std::size_t worker, std::size_t round) const {
-  if (worker >= n_) throw std::out_of_range("FadingChannel::gain: worker out of range");
-  return gains(round)[worker];
+  std::vector<double> h;
+  gains_of({&worker, 1}, round, h);
+  return h.front();
 }
 
 }  // namespace airfedga::channel

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -46,13 +47,27 @@ class FadingChannel {
   /// (seed, round): repeated calls return identical vectors.
   [[nodiscard]] std::vector<double> gains(std::size_t round) const;
 
-  /// Gain of a single worker at a round.
+  /// Gains of `members` (any order, duplicates allowed) at a round:
+  /// out[i] == gains(round)[members[i]] bit for bit. One pass over the
+  /// round's stream in ascending worker order skips each gap with
+  /// engine().discard (one Rayleigh draw consumes exactly one engine
+  /// output), so the cost follows the largest id, not an N-entry draw.
+  /// Throws std::out_of_range on an id >= num_workers().
+  void gains_of(std::span<const std::size_t> members, std::size_t round,
+                std::vector<double>& out) const;
+
+  /// Gain of a single worker at a round (a one-member gains_of).
   [[nodiscard]] double gain(std::size_t worker, std::size_t round) const;
 
   [[nodiscard]] std::size_t num_workers() const { return n_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// The round's fading stream: output i is worker i's Rayleigh draw.
+  [[nodiscard]] util::Rng round_stream(std::size_t round) const;
+  /// Worker i's truncated gain from its draw on the round's stream.
+  [[nodiscard]] double draw_gain(util::Rng& stream, std::size_t i) const;
+
   std::size_t n_;
   Config cfg_;
   std::vector<double> large_scale_;

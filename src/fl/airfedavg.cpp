@@ -22,7 +22,8 @@ std::vector<float> AirFedAvg::aggregate(SchedulingLoop& loop,
                                         const std::vector<std::size_t>& members,
                                         std::span<const float> w_prev, std::size_t round) {
   // All workers transmit concurrently; power control per Alg. 2.
-  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules());
+  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules(),
+                                         loop.aggregation_total(members));
 }
 
 }  // namespace airfedga::fl

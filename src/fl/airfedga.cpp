@@ -44,7 +44,8 @@ std::vector<float> AirFedGA::aggregate(SchedulingLoop& loop,
   // Over-the-air aggregation of one group (Alg. 1 lines 24-26) with
   // per-round power control (Alg. 2); `round` is the fading index of the
   // round this commit will get.
-  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules());
+  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules(),
+                                         loop.aggregation_total(members));
 }
 
 void AirFedGA::reweight(const SchedulingLoop& /*loop*/, std::span<const float> w_prev,

@@ -443,10 +443,17 @@ obs::MetricsSnapshot Driver::metrics_snapshot() {
 
 core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>& members,
                                                  std::size_t round) {
+  std::vector<double> gains;
+  substrate_->gains_of(members, round, gains);
+  return group_power(members, std::move(gains));
+}
+
+core::PowerControlResult Driver::group_power(const std::vector<std::size_t>& members,
+                                             std::vector<double> gains) {
   if (members.empty()) throw std::invalid_argument("power_for_group: empty group");
-  const auto& gains = substrate_->gains(round);
   core::PowerControlInput in;
   in.sigma0_sq = cfg_->aircomp.sigma0_sq;
+  in.gains = std::move(gains);
   double w_sq = 0.0;
   double group_data = 0.0;
   for (auto m : members) {
@@ -455,7 +462,6 @@ core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>&
       throw std::logic_error("power_for_group: member has no trained local model");
     w_sq = std::max(w_sq, w.model_norm_sq());
     group_data += static_cast<double>(w.data_size());
-    in.gains.push_back(gains.at(m));
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
     in.energy_caps.push_back(cfg_->energy_cap);
   }
@@ -466,21 +472,24 @@ core::PowerControlResult Driver::power_for_group(const std::vector<std::size_t>&
 
 std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& members,
                                              std::span<const float> w_prev, std::size_t round,
-                                             double& energy_joules) {
-  const auto pc = power_for_group(members, round);
-  const auto& gains = substrate_->gains(round);
+                                             double& energy_joules, double total_data) {
+  // The members' gains are read once, by a seek that costs O(cohort)
+  // rather than an N-worker draw, and feed both Alg. 2 and the channel.
+  std::vector<double> gains;
+  substrate_->gains_of(members, round, gains);
+  const auto pc = group_power(members, gains);
   const auto csi = substrate_->csi_scales(round);
 
   channel::AirCompChannel::Input in;
   in.w_prev = w_prev;
   in.sigma = pc.sigma;
   in.eta = pc.eta;
-  in.total_data = static_cast<double>(stats_.total_size());
+  in.total_data = total_data;
+  in.gains = std::move(gains);
   for (auto m : members) {
     const Worker& w = worker(m);
     in.local_models.push_back(w.local_model());
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
-    in.gains.push_back(gains.at(m));
     if (!csi.empty()) {
       in.csi_scale.push_back(csi[m]);
       csi_hist_->record(csi[m]);
@@ -497,7 +506,7 @@ std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& mem
 }
 
 std::vector<float> Driver::oma_aggregate(const std::vector<std::size_t>& members,
-                                         std::span<const float> w_prev) {
+                                         std::span<const float> w_prev, double total_data) {
   std::vector<std::span<const float>> models;
   std::vector<double> sizes;
   for (auto m : members) {
@@ -509,8 +518,7 @@ std::vector<float> Driver::oma_aggregate(const std::vector<std::size_t>& members
   const double upload_joules = substrate_->oma_upload_joules();
   if (upload_joules > 0.0)
     for (auto m : members) substrate_->charge(m, upload_joules);
-  return channel::AirCompChannel::ideal_aggregate(w_prev, models, sizes,
-                                                  static_cast<double>(stats_.total_size()));
+  return channel::AirCompChannel::ideal_aggregate(w_prev, models, sizes, total_data);
 }
 
 void Driver::maybe_record(Metrics& metrics, std::size_t round, double time, double energy,

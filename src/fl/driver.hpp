@@ -287,22 +287,24 @@ class Driver {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot();
 
   /// Per-round power control (Alg. 2) for a group about to aggregate:
-  /// gathers this round's gains and member model-norm bound W_t, and
-  /// returns (sigma*, eta*, C).
+  /// gathers the members' gains this round and their model-norm bound W_t,
+  /// and returns (sigma*, eta*, C).
   core::PowerControlResult power_for_group(const std::vector<std::size_t>& members,
                                            std::size_t round);
 
   /// Runs Eq. (9)-(10) over the air for `members` and returns the new
   /// global model; accumulates per-round energy into `energy_joules`.
+  /// `total_data` is the D the members' weights d_i / D normalise by
+  /// (SchedulingLoop::aggregation_total).
   std::vector<float> aircomp_aggregate(const std::vector<std::size_t>& members,
                                        std::span<const float> w_prev, std::size_t round,
-                                       double& energy_joules);
+                                       double& energy_joules, double total_data);
 
-  /// Error-free OMA aggregation (Eq. 8) over `members`. Charges each
-  /// member the substrate's flat per-upload OMA energy (0 when the energy
-  /// generator is off).
+  /// Error-free OMA aggregation (Eq. 8) over `members`, weights d_i /
+  /// `total_data`. Charges each member the substrate's flat per-upload OMA
+  /// energy (0 when the energy generator is off).
   std::vector<float> oma_aggregate(const std::vector<std::size_t>& members,
-                                   std::span<const float> w_prev);
+                                   std::span<const float> w_prev, double total_data);
 
   /// Helper for the shared early-stop rule: true once the mean of the last
   /// 3 evaluation accuracies reaches cfg.stop_at_accuracy (if enabled).
@@ -322,6 +324,10 @@ class Driver {
                                   std::size_t n_batches);
   Worker& lease_worker(std::size_t i);
   util::Rng worker_rng(std::size_t i) const;
+  /// Alg. 2 for `members` given their gains this round (gains[i] is
+  /// members[i]'s).
+  core::PowerControlResult group_power(const std::vector<std::size_t>& members,
+                                       std::vector<double> gains);
 
   const FLConfig* cfg_;
   std::size_t population_ = 0;

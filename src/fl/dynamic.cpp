@@ -17,8 +17,8 @@ data::WorkerGroups DynamicAirComp::make_cohorts(SchedulingLoop& loop) {
   return {std::move(everyone)};
 }
 
-std::vector<std::size_t> DynamicAirComp::select(SchedulingLoop& loop, std::size_t /*cohort*/,
-                                                std::size_t round) {
+std::span<const std::size_t> DynamicAirComp::select(SchedulingLoop& loop,
+                                                    std::size_t /*cohort*/, std::size_t round) {
   // Channel-aware scheduling: admit workers whose gain this round clears
   // the configured quantile. Strong channels need the least transmit
   // power for the common sigma_t (Eq. 6), so this is the energy-friendly
@@ -26,10 +26,10 @@ std::vector<std::size_t> DynamicAirComp::select(SchedulingLoop& loop, std::size_
   // makes the participating data distribution wander under label skew.
   const auto& gains = loop.driver().substrate().gains(round);
   const double cutoff = util::quantile(gains, selection_quantile_);
-  std::vector<std::size_t> selected;
+  selected_.clear();
   for (std::size_t i = 0; i < gains.size(); ++i)
-    if (gains[i] >= cutoff) selected.push_back(i);
-  return selected;  // empty cannot happen with quantile < 1; the loop skips it
+    if (gains[i] >= cutoff) selected_.push_back(i);
+  return selected_;  // empty cannot happen with quantile < 1; the loop skips it
 }
 
 double DynamicAirComp::upload_seconds(const SchedulingLoop& loop,
@@ -41,7 +41,8 @@ double DynamicAirComp::upload_seconds(const SchedulingLoop& loop,
 std::vector<float> DynamicAirComp::aggregate(SchedulingLoop& loop,
                                              const std::vector<std::size_t>& members,
                                              std::span<const float> w_prev, std::size_t round) {
-  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules());
+  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules(),
+                                         loop.aggregation_total(members));
 }
 
 }  // namespace airfedga::fl

@@ -21,7 +21,7 @@ double FedAvg::upload_seconds(const SchedulingLoop& loop,
 std::vector<float> FedAvg::aggregate(SchedulingLoop& loop, const std::vector<std::size_t>& members,
                                      std::span<const float> w_prev, std::size_t /*round*/) {
   // The PS forms the exact weighted average (OMA is reliable).
-  return loop.driver().oma_aggregate(members, w_prev);
+  return loop.driver().oma_aggregate(members, w_prev, loop.aggregation_total(members));
 }
 
 }  // namespace airfedga::fl

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace airfedga::fl {
 
@@ -31,8 +33,8 @@ Metrics Mechanism::run(const FLConfig& cfg) {
 
 void Mechanism::check(const FLConfig&) const {}
 
-std::vector<std::size_t> Mechanism::select(SchedulingLoop& loop, std::size_t cohort,
-                                           std::size_t /*round*/) {
+std::span<const std::size_t> Mechanism::select(SchedulingLoop& loop, std::size_t cohort,
+                                               std::size_t /*round*/) {
   return loop.cohorts().at(cohort);
 }
 
@@ -49,6 +51,29 @@ void Mechanism::reweight(const SchedulingLoop&, std::span<const float>, std::vec
                          double) const {}
 
 // ------------------------------------------------------------------ loop
+
+std::vector<std::size_t> draw_cohort(std::uint64_t seed, std::size_t round, std::size_t cohort,
+                                     std::size_t n, std::size_t k) {
+  if (k > n) throw std::invalid_argument("draw_cohort: k > n");
+  // One self-contained stream per (round, cohort): reproducible from the
+  // config alone, uncorrelated with the weight/substrate streams.
+  util::Rng rng(
+      util::splitmix64(seed ^ (0xC04052ULL + round * 0x9E3779B1ULL + cohort * 0x85EBCA77ULL)));
+  // Floyd: step j adds a uniform pick from [0, j], or j itself when the
+  // pick is taken; every k-subset comes out equally likely.
+  std::unordered_set<std::size_t> taken;
+  taken.reserve(k);
+  std::vector<std::size_t> pos;
+  pos.reserve(k);
+  for (std::size_t j = n - k; j < n; ++j) {
+    const auto t = static_cast<std::size_t>(rng.randint(0, static_cast<std::int64_t>(j)));
+    const std::size_t pick = taken.contains(t) ? j : t;
+    taken.insert(pick);
+    pos.push_back(pick);
+  }
+  std::sort(pos.begin(), pos.end());
+  return pos;
+}
 
 SchedulingLoop::SchedulingLoop(Driver& driver, Mechanism& policy)
     : driver_(driver),
@@ -68,6 +93,9 @@ SchedulingLoop::SchedulingLoop(Driver& driver, Mechanism& policy)
   cohort_of_.assign(driver_.num_workers(), 0);
   for (std::size_t j = 0; j < cohorts_.size(); ++j)
     for (auto m : cohorts_[j]) cohort_of_[m] = j;
+  if (driver_.config().cohort_size != 0)
+    for (const auto& cohort : cohorts_)
+      cohort_data_.push_back(static_cast<double>(driver_.stats().group_size(cohort)));
   server_.emplace(driver_.initial_model(), cohorts_.size());
   active_.resize(cohorts_.size());
   substrate_ = &driver_.substrate();
@@ -169,21 +197,26 @@ Metrics SchedulingLoop::run() {
   return std::move(metrics_);
 }
 
-std::vector<std::size_t> SchedulingLoop::sample_cohort(std::vector<std::size_t> members,
+std::vector<std::size_t> SchedulingLoop::sample_cohort(std::span<const std::size_t> members,
                                                        std::size_t round,
                                                        std::size_t cohort) const {
   const std::size_t k = driver_.config().cohort_size;
-  if (k == 0 || members.size() <= k) return members;
-  // One self-contained stream per (round, cohort): reproducible from the
-  // config alone, uncorrelated with the weight/substrate streams.
-  util::Rng rng(util::splitmix64(driver_.config().seed ^
-                                 (0xC04052ULL + round * 0x9E3779B1ULL + cohort * 0x85EBCA77ULL)));
-  auto pos = rng.sample_without_replacement(members.size(), k);
-  std::sort(pos.begin(), pos.end());  // keep members in selection order
-  std::vector<std::size_t> picked;
-  picked.reserve(k);
-  for (auto p : pos) picked.push_back(members[p]);
+  if (k == 0 || members.size() <= k) return {members.begin(), members.end()};
+  // Only the k picks are materialized: ascending positions keep members
+  // in selection order.
+  std::vector<std::size_t> picked =
+      draw_cohort(driver_.config().seed, round, cohort, members.size(), k);
+  for (auto& p : picked) p = members[p];
   return picked;
+}
+
+double SchedulingLoop::aggregation_total(const std::vector<std::size_t>& members) const {
+  const data::DataStats& stats = driver_.stats();
+  const auto total = static_cast<double>(stats.total_size());
+  if (cohort_data_.empty() || members.empty()) return total;
+  // Sampling is per cohort, so every member shares the first's cohort.
+  return total * static_cast<double>(stats.group_size(members)) /
+         cohort_data_[cohort_of_[members.front()]];
 }
 
 void SchedulingLoop::start_sync_cycle() {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -79,11 +80,12 @@ class Mechanism {
   virtual data::WorkerGroups make_cohorts(SchedulingLoop& loop) = 0;
 
   /// Members of `cohort` participating in the cycle that aggregates as
-  /// global round `round`. Default: the full cohort. Returning an empty
-  /// vector skips the cycle (kRoundBarrier advances to the next round
-  /// without consuming virtual time, mirroring Dynamic's defensive skip).
-  virtual std::vector<std::size_t> select(SchedulingLoop& loop, std::size_t cohort,
-                                          std::size_t round);
+  /// global round `round`; the view stays valid until the next select()
+  /// call. Default: the full cohort (no copy). Returning an empty view
+  /// skips the cycle (kRoundBarrier advances to the next round without
+  /// consuming virtual time, mirroring Dynamic's defensive skip).
+  virtual std::span<const std::size_t> select(SchedulingLoop& loop, std::size_t cohort,
+                                              std::size_t round);
 
   // -- aggregation-trigger hooks --------------------------------------
   /// Which trigger family drives this mechanism's aggregation events.
@@ -126,6 +128,14 @@ class Mechanism {
                         std::vector<float>& w_next, double tau) const;
 };
 
+/// Positions of a cohort subsample: `k` distinct ids of [0, n) in
+/// ascending order, drawn by Floyd's algorithm (k randint calls, O(k)
+/// time and memory whatever n) from a stream keyed by (seed, round,
+/// cohort) alone, so the draw is independent of engine state, lane count
+/// and queue backend. Requires k <= n.
+std::vector<std::size_t> draw_cohort(std::uint64_t seed, std::size_t round, std::size_t cohort,
+                                     std::size_t n, std::size_t k);
+
 /// The unified event-driven engine: one loop over sim::EventQueue drives
 /// every mechanism. Construction prepares the run state a policy's hooks
 /// can query (local times, cohorts, parameter server); run() seeds the
@@ -167,6 +177,12 @@ class SchedulingLoop {
   [[nodiscard]] const ParameterServer& server() const { return *server_; }
   /// Accumulated transmit energy (J); AirComp aggregation adds into this.
   [[nodiscard]] double& energy_joules() { return energy_; }
+  /// The data mass D an aggregation over `members` (one cohort's cycle)
+  /// normalises its weights d_i / D by. Without cohort sampling, the
+  /// population's total. With it, the sample stands in for its whole
+  /// cohort: D = total * D_members / D_cohort, so the update carries the
+  /// weight the full cohort would (beta = 1 behind a round barrier).
+  [[nodiscard]] double aggregation_total(const std::vector<std::size_t>& members) const;
 
  private:
   static constexpr int kEvReady = 0;      ///< a worker finished local training
@@ -179,7 +195,7 @@ class SchedulingLoop {
   // already small enough. The draw's RNG stream depends only on (seed,
   // round, cohort), never on engine state, so it is thread- and
   // backend-invariant.
-  std::vector<std::size_t> sample_cohort(std::vector<std::size_t> members, std::size_t round,
+  std::vector<std::size_t> sample_cohort(std::span<const std::size_t> members, std::size_t round,
                                          std::size_t cohort) const;
   void start_sync_cycle();
   void start_timer_cycle(std::size_t cohort, double start);
@@ -201,6 +217,8 @@ class SchedulingLoop {
   std::vector<double> local_times_;
   data::WorkerGroups cohorts_;
   std::vector<std::size_t> cohort_of_;
+  /// [cohort] data mass D_cohort; filled only under cohort sampling.
+  std::vector<double> cohort_data_;
   std::optional<ParameterServer> server_;
   /// Members training toward each cohort's pending aggregation event.
   std::vector<std::vector<std::size_t>> active_;

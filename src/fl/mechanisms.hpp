@@ -93,8 +93,8 @@ class DynamicAirComp : public Mechanism {
 
   void check(const FLConfig& cfg) const override;
   data::WorkerGroups make_cohorts(SchedulingLoop& loop) override;
-  std::vector<std::size_t> select(SchedulingLoop& loop, std::size_t cohort,
-                                  std::size_t round) override;
+  std::span<const std::size_t> select(SchedulingLoop& loop, std::size_t cohort,
+                                      std::size_t round) override;
   [[nodiscard]] TriggerKind trigger() const override { return TriggerKind::kRoundBarrier; }
   [[nodiscard]] double upload_seconds(const SchedulingLoop& loop,
                                       const std::vector<std::size_t>& members,
@@ -104,6 +104,7 @@ class DynamicAirComp : public Mechanism {
 
  private:
   double selection_quantile_;
+  std::vector<std::size_t> selected_;  ///< the last select()'s admitted workers
 };
 
 /// TiFL [26]: tier-based group-asynchronous FL over OMA. Tiers are built

@@ -46,7 +46,8 @@ bool SemiAsync::should_flush(SchedulingLoop& loop, const std::vector<std::size_t
 std::vector<float> SemiAsync::aggregate(SchedulingLoop& loop,
                                         const std::vector<std::size_t>& members,
                                         std::span<const float> w_prev, std::size_t round) {
-  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules());
+  return loop.driver().aircomp_aggregate(members, w_prev, round, loop.energy_joules(),
+                                         loop.aggregation_total(members));
 }
 
 void SemiAsync::reweight(const SchedulingLoop& /*loop*/, std::span<const float> w_prev,

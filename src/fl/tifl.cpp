@@ -23,7 +23,7 @@ double TiFL::upload_seconds(const SchedulingLoop& loop,
 
 std::vector<float> TiFL::aggregate(SchedulingLoop& loop, const std::vector<std::size_t>& members,
                                    std::span<const float> w_prev, std::size_t /*round*/) {
-  return loop.driver().oma_aggregate(members, w_prev);
+  return loop.driver().oma_aggregate(members, w_prev, loop.aggregation_total(members));
 }
 
 }  // namespace airfedga::fl

@@ -167,6 +167,20 @@ Study parse_study(const Json& j) {
   return study;
 }
 
+std::vector<ScenarioSpec> expand_study(const Study& study,
+                                       const std::vector<SweepAxis>& cli_axes) {
+  std::vector<SweepAxis> axes = study.sweeps;
+  for (const auto& axis : cli_axes) {
+    auto same = std::find_if(axes.begin(), axes.end(),
+                             [&](const SweepAxis& a) { return a.path == axis.path; });
+    if (same != axes.end())
+      *same = axis;
+    else
+      axes.push_back(axis);
+  }
+  return expand_sweeps(study.spec, axes);
+}
+
 namespace {
 std::string read_stream(std::istream& in) {
   std::ostringstream ss;

@@ -89,6 +89,13 @@ Study parse_study(const Json& j);
 /// Loads a study from a preset name, a .json file path, or "-" (stdin).
 Study load_study(const std::string& source);
 
+/// The study's variant grid with `cli_axes` (--sweep, in flag order)
+/// applied on top: an axis on a path already swept replaces that axis in
+/// place, any other appends. So `--sweep run.seed=3` on a study sweeping
+/// run.seed over {1, 2} runs one variant, not two identical ones.
+std::vector<ScenarioSpec> expand_study(const Study& study,
+                                       const std::vector<SweepAxis>& cli_axes);
+
 /// The *.json files directly inside `dir`, sorted by filename so a
 /// directory of studies always runs (and exports) in the same order.
 /// Throws when `dir` is not a directory or contains no .json files.

@@ -72,6 +72,13 @@ std::string substrate_kind(const SubstrateOptions& opts) {
   return out.empty() ? "static" : out;
 }
 
+void Substrate::gains_of(std::span<const std::size_t> members, std::size_t round,
+                         std::vector<double>& out) {
+  const std::vector<double>& all = gains(round);
+  out.resize(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) out[i] = all.at(members[i]);
+}
+
 // ---------------------------------------------------------------------------
 // StaticSubstrate
 
@@ -143,6 +150,14 @@ const std::vector<double>& RealismSubstrate::gains(std::size_t round) {
   if (!opts_.csi_error) return true_gains(round);
   ensure_csi(round);
   return reported_;
+}
+
+void RealismSubstrate::gains_of(std::span<const std::size_t> members, std::size_t round,
+                                std::vector<double>& out) {
+  if (opts_.csi_error)
+    Substrate::gains_of(members, round, out);
+  else
+    StaticSubstrate::gains_of(members, round, out);
 }
 
 std::span<const double> RealismSubstrate::csi_scales(std::size_t round) {

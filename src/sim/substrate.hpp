@@ -93,6 +93,15 @@ class Substrate {
   /// per round; the reference is valid until the next gains() call.
   virtual const std::vector<double>& gains(std::size_t round) = 0;
 
+  /// The gains() entries of `members` (any order, duplicates allowed):
+  /// out[i] == gains(round)[members[i]] bit for bit, for callers that read
+  /// a cohort rather than the population. Throws std::out_of_range on an
+  /// id >= num_workers(). Default: gathers from gains(round) (so it counts
+  /// as a gains() call); generators with a seekable stream override it
+  /// without drawing the population.
+  virtual void gains_of(std::span<const std::size_t> members, std::size_t round,
+                        std::vector<double>& out);
+
   /// Per-worker multiplicative MAC factors h / h_hat for `round`; an empty
   /// span means perfect CSI (the AirComp channel then skips the mismatch
   /// term entirely). Valid until the next csi_scales() call.
@@ -157,6 +166,12 @@ class StaticSubstrate : public Substrate {
 
   [[nodiscard]] std::size_t num_workers() const override { return n_; }
   const std::vector<double>& gains(std::size_t round) override { return true_gains(round); }
+  /// Seeks the round's fading stream to each member: O(max id) engine
+  /// steps, no N-entry draw or allocation.
+  void gains_of(std::span<const std::size_t> members, std::size_t round,
+                std::vector<double>& out) override {
+    fading_.gains_of(members, round, out);
+  }
   std::span<const double> csi_scales(std::size_t /*round*/) override { return {}; }
   [[nodiscard]] double aircomp_upload_seconds(std::size_t q, double time) const override;
   [[nodiscard]] double oma_upload_seconds(std::size_t q, std::size_t uploaders,
@@ -204,6 +219,10 @@ class RealismSubstrate : public StaticSubstrate {
                    std::uint64_t run_seed);
 
   const std::vector<double>& gains(std::size_t round) override;
+  /// The static seek without CSI error; with it, a gather from gains(),
+  /// because the estimate errors are sequential normal draws.
+  void gains_of(std::span<const std::size_t> members, std::size_t round,
+                std::vector<double>& out) override;
   std::span<const double> csi_scales(std::size_t round) override;
   [[nodiscard]] bool available(std::size_t worker, double time) const override;
   [[nodiscard]] double next_transition(std::size_t worker, double time) const override;

@@ -133,6 +133,35 @@ TEST(ParseStudy, SweepsObjectBecomesAxesInFileOrder) {
   EXPECT_EQ(variants[1].seed, 2u);
 }
 
+TEST(ExpandStudy, CliAxisReplacesTheStudysAxisOnTheSamePath) {
+  const Study s = parse_study(Json::parse(R"({
+    "name": "study",
+    "sweeps": { "run.seed": [1, 2], "mechanisms.0.xi": [0.1, 0.3] },
+    "mechanisms": [{ "kind": "airfedga" }]
+  })"));
+  const auto seed3 = expand_study(s, {parse_sweep_axis("run.seed=3", "--sweep")});
+  ASSERT_EQ(seed3.size(), 2u);  // xi stays swept; seed {1, 2} became {3}
+  for (const auto& v : seed3) EXPECT_EQ(v.seed, 3u);
+  EXPECT_EQ(seed3[0].name, "study@run.seed=3@mechanisms.0.xi=0.1");
+  EXPECT_EQ(seed3[1].name, "study@run.seed=3@mechanisms.0.xi=0.3");
+
+  // A path the study does not sweep appends after the study's axes.
+  EXPECT_EQ(expand_study(s, {parse_sweep_axis("run.threads=1,2", "--sweep")}).size(), 8u);
+  EXPECT_EQ(expand_study(s, {}).size(), 4u);
+}
+
+TEST(ExpandStudy, SeedStudyWithSeedSweepRunsOneVariant) {
+  const Study s = parse_study(Json::parse(R"({
+    "name": "seeds",
+    "sweeps": { "run.seed": [1, 2] },
+    "mechanisms": [{ "kind": "fedavg" }]
+  })"));
+  const auto variants = expand_study(s, {parse_sweep_axis("run.seed=3", "--sweep")});
+  ASSERT_EQ(variants.size(), 1u);
+  EXPECT_EQ(variants[0].seed, 3u);
+  EXPECT_EQ(variants[0].name, "seeds@run.seed=3");
+}
+
 TEST(ParseStudy, RejectsMalformedSweeps) {
   EXPECT_THROW(parse_study(Json::parse(R"({"sweeps": [1, 2]})")), std::invalid_argument);
   EXPECT_THROW(parse_study(Json::parse(R"({"sweeps": {"run.seed": []}})")),

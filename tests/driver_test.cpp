@@ -79,7 +79,8 @@ TEST(Driver, AircompAggregateAccumulatesEnergyWithinCaps) {
   for (auto m : members) d.worker(m).local_update(d.scratch(), w, 0.1f, 1, 0);
 
   double energy = 0.0;
-  const auto w_next = d.aircomp_aggregate(members, w, 1, energy);
+  const auto w_next =
+      d.aircomp_aggregate(members, w, 1, energy, static_cast<double>(d.stats().total_size()));
   EXPECT_EQ(w_next.size(), w.size());
   EXPECT_GT(energy, 0.0);
   EXPECT_LE(energy, static_cast<double>(members.size()) * env.cfg.energy_cap * (1 + 1e-9));
@@ -93,7 +94,7 @@ TEST(Driver, OmaAggregateIsExactWeightedAverage) {
   std::iota(everyone.begin(), everyone.end(), std::size_t{0});
   for (auto m : everyone) d.worker(m).local_update(d.scratch(), w, 0.1f, 1, 0);
 
-  const auto agg = d.oma_aggregate(everyone, w);
+  const auto agg = d.oma_aggregate(everyone, w, static_cast<double>(d.stats().total_size()));
   // Full participation: result = sum_i alpha_i w_i exactly.
   std::vector<double> expect(w.size(), 0.0);
   for (auto m : everyone) {

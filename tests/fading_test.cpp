@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "channel/fading.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace airfedga::channel {
@@ -161,6 +165,43 @@ TEST(Fading, PathLossValidation) {
   bad.distance_min = 2.0;
   bad.distance_max = 1.0;
   EXPECT_THROW(FadingChannel(1, bad), std::invalid_argument);
+}
+
+TEST(Fading, MemberGainsEqualTheFullDrawBitForBit) {
+  // 1000 workers span several Mersenne-Twister state blocks (312 outputs
+  // each), so the seek crosses block boundaries.
+  constexpr std::size_t kWorkers = 1000;
+  util::Rng pick(99);
+  std::vector<std::size_t> random_ids(200);  // unsorted, with repeats
+  for (auto& m : random_ids) m = static_cast<std::size_t>(pick.randint(0, kWorkers - 1));
+  const std::vector<std::vector<std::size_t>> lists = {
+      {}, {0}, {kWorkers - 1}, {0, 1, 2, 311, 312, 313, 999}, {999, 0, 500, 500, 1, 0, 999},
+      random_ids};
+  for (double exponent : {0.0, 3.0}) {
+    FadingChannel::Config cfg;
+    cfg.pathloss_exponent = exponent;
+    const FadingChannel ch(kWorkers, cfg);
+    for (std::size_t round : {0UL, 1UL, 17UL, 4000UL}) {
+      const auto all = ch.gains(round);
+      for (const auto& members : lists) {
+        std::vector<double> out{-1.0};  // stale contents are overwritten
+        ch.gains_of(members, round, out);
+        ASSERT_EQ(out.size(), members.size());
+        for (std::size_t i = 0; i < members.size(); ++i)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(all[members[i]]))
+              << "worker " << members[i] << " round " << round << " exponent " << exponent;
+      }
+    }
+  }
+}
+
+TEST(Fading, MemberGainsRejectOutOfRangeIds) {
+  const FadingChannel ch(10, {});
+  std::vector<double> out;
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{3, 10}, 0, out), std::out_of_range);
+  EXPECT_THROW(ch.gains_of(std::vector<std::size_t>{static_cast<std::size_t>(-1)}, 0, out),
+               std::out_of_range);
 }
 
 TEST(Fading, Validation) {

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -48,17 +49,28 @@ std::vector<ScenarioSpec> tiny_variants() {
   return expand_sweeps(tiny_spec(), {{"run.seed", {Json(1), Json(2), Json(3)}}});
 }
 
+/// A scratch directory named by the test binary's run, the current test
+/// and the directory's ordinal within that test. A threadsafe-style death
+/// test re-executes the binary and reruns the test body up to EXPECT_EXIT,
+/// so the child must resolve the same paths as its parent: the run token
+/// is the parent's pid, handed down through the environment.
 struct TempDir {
-  static std::size_t next_id() {
-    static std::size_t id = 0;
-    return id++;
+  static std::string run_token() {
+    ::setenv("AIRFEDGA_FARM_TEST_RUN", std::to_string(::getpid()).c_str(), /*overwrite=*/0);
+    return std::getenv("AIRFEDGA_FARM_TEST_RUN");
+  }
+  static std::string next_name() {
+    static std::string test;
+    static std::size_t ordinal = 0;
+    const std::string current = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    if (current != test) {
+      test = current;
+      ordinal = 0;
+    }
+    return "airfedga_farm_test_" + run_token() + "_" + test + "_" + std::to_string(ordinal++);
   }
   fs::path path;
-  TempDir() : path(fs::temp_directory_path() /
-                   ("airfedga_farm_test_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(next_id()))) {
-    fs::remove_all(path);
-  }
+  TempDir() : path(fs::temp_directory_path() / next_name()) { fs::remove_all(path); }
   ~TempDir() { fs::remove_all(path); }
 };
 
@@ -100,6 +112,10 @@ WriteOptions no_timing() {
 class FarmTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The EXPECT_EXIT kill tests fork a process that owns lane-pool
+    // threads; the threadsafe style re-executes the binary for the child
+    // instead of forking a multithreaded parent.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     util::fault::disarm_all();
     farm_clear_stop();
   }
@@ -143,11 +159,12 @@ TEST_F(FarmTest, ResumeOfACompleteRunSkipsEverythingAndRewritesIdentically) {
 /// resume, and require byte-identical outputs vs an uninterrupted run.
 void kill_resume_roundtrip(std::size_t jobs) {
   const auto variants = tiny_variants();
-  TempDir ref, crashed;
+  TempDir crashed;
   FarmOptions fo;
   fo.jobs = jobs;
-  run_farm(variants, ref.path.string(), {}, fo, no_timing());
 
+  // The crash runs first: a re-executed death-test child repeats only
+  // what precedes EXPECT_EXIT, not the reference run.
   const std::string crash_dir = crashed.path.string();
   EXPECT_EXIT(
       {
@@ -156,6 +173,8 @@ void kill_resume_roundtrip(std::size_t jobs) {
         run_farm(variants, crash_dir, {}, child, no_timing());
       },
       ::testing::ExitedWithCode(util::fault::kKillExitCode), "");
+  TempDir ref;
+  run_farm(variants, ref.path.string(), {}, fo, no_timing());
 
   // The crash happened after (at least) two durable completions; the
   // manifest must show them and the resume must only re-run what was lost.
@@ -186,9 +205,7 @@ TEST_F(FarmTest, KillAndResumeIsByteIdenticalJobs4) { kill_resume_roundtrip(4); 
 
 TEST_F(FarmTest, KillDuringStashWriteLosesOnlyThatVariant) {
   const auto variants = tiny_variants();
-  TempDir ref, crashed;
-  run_farm(variants, ref.path.string(), {}, {}, no_timing());
-
+  TempDir crashed;
   const std::string crash_dir = crashed.path.string();
   EXPECT_EXIT(
       {
@@ -196,6 +213,8 @@ TEST_F(FarmTest, KillDuringStashWriteLosesOnlyThatVariant) {
         run_farm(variants, crash_dir, {}, {}, no_timing());
       },
       ::testing::ExitedWithCode(util::fault::kKillExitCode), "");
+  TempDir ref;
+  run_farm(variants, ref.path.string(), {}, {}, no_timing());
 
   FarmOptions resume;
   resume.resume = true;
@@ -207,9 +226,7 @@ TEST_F(FarmTest, KillDuringStashWriteLosesOnlyThatVariant) {
 
 TEST_F(FarmTest, KillDuringResultAssemblyIsRepairedByResume) {
   const auto variants = tiny_variants();
-  TempDir ref, crashed;
-  run_farm(variants, ref.path.string(), {}, {}, no_timing());
-
+  TempDir crashed;
   const std::string crash_dir = crashed.path.string();
   EXPECT_EXIT(
       {
@@ -217,6 +234,8 @@ TEST_F(FarmTest, KillDuringResultAssemblyIsRepairedByResume) {
         run_farm(variants, crash_dir, {}, {}, no_timing());
       },
       ::testing::ExitedWithCode(util::fault::kKillExitCode), "");
+  TempDir ref;
+  run_farm(variants, ref.path.string(), {}, {}, no_timing());
 
   // Every variant completed durably before assembly; the resume re-runs
   // nothing and just re-assembles the (torn) output files.

@@ -15,7 +15,12 @@ namespace {
 /// spec would fire in an unrelated later test.
 class FaultTest : public ::testing::Test {
  protected:
-  void SetUp() override { disarm_all(); }
+  void SetUp() override {
+    // The kill test's child must not inherit a forked copy of whatever
+    // threads the process owns: re-execute the binary instead.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    disarm_all();
+  }
   void TearDown() override { disarm_all(); }
 };
 

@@ -14,6 +14,8 @@
 #include <functional>
 #include <numeric>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "fl/mechanisms.hpp"
@@ -107,7 +109,10 @@ TEST(LoopPolicy, DefaultSelectReturnsTheFullCohort) {
   Driver driver(f.cfg);
   FedAvg fedavg;
   SchedulingLoop loop(driver, fedavg);
-  EXPECT_EQ(fedavg.select(loop, 0, 1), loop.cohorts()[0]);
+  const auto selected = fedavg.select(loop, 0, 1);
+  // A view of the cohort itself: the default selection copies nothing.
+  EXPECT_EQ(selected.data(), loop.cohorts()[0].data());
+  EXPECT_EQ(selected.size(), loop.cohorts()[0].size());
 }
 
 TEST(LoopPolicy, DynamicSelectionFollowsTheGainQuantile) {
@@ -117,7 +122,8 @@ TEST(LoopPolicy, DynamicSelectionFollowsTheGainQuantile) {
   SchedulingLoop loop(driver, dyn);
 
   for (std::size_t round : {1UL, 2UL, 7UL}) {
-    const auto selected = dyn.select(loop, 0, round);
+    const auto view = dyn.select(loop, 0, round);
+    const std::vector<std::size_t> selected(view.begin(), view.end());
     ASSERT_FALSE(selected.empty()) << "round " << round;
     // Exactly the workers whose gain this round clears the quantile.
     const auto gains = driver.substrate().gains(round);
@@ -132,6 +138,106 @@ TEST(LoopPolicy, DynamicSelectionFollowsTheGainQuantile) {
   // Quantile 0 admits everyone: selection degenerates to Air-FedAvg.
   DynamicAirComp all(MechanismConfig{.selection_quantile = 0.0});
   EXPECT_EQ(all.select(loop, 0, 1).size(), driver.num_workers());
+}
+
+// -- cohort sampling ---------------------------------------------------
+
+TEST(CohortDraw, ReturnsKDistinctSortedInRangeIds) {
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {10, 0}, {10, 1}, {10, 10}, {50, 49}, {1000000, 32}};
+  for (auto [n, k] : shapes) {
+    const auto pos = draw_cohort(42, 3, 0, n, k);
+    ASSERT_EQ(pos.size(), k) << n << "/" << k;
+    // Strictly increasing: sorted and distinct in one check.
+    EXPECT_TRUE(std::adjacent_find(pos.begin(), pos.end(), std::greater_equal<>()) == pos.end())
+        << n << "/" << k;
+    for (auto p : pos) EXPECT_LT(p, n);
+  }
+  EXPECT_THROW(static_cast<void>(draw_cohort(42, 1, 0, 5, 6)), std::invalid_argument);
+}
+
+TEST(CohortDraw, IsReproduciblePerSeedRoundAndCohort) {
+  const auto a = draw_cohort(7, 5, 2, 100000, 32);
+  EXPECT_EQ(a, draw_cohort(7, 5, 2, 100000, 32));
+  EXPECT_NE(a, draw_cohort(8, 5, 2, 100000, 32));
+  EXPECT_NE(a, draw_cohort(7, 6, 2, 100000, 32));
+  EXPECT_NE(a, draw_cohort(7, 5, 3, 100000, 32));
+}
+
+TEST(CohortDraw, DrawsEveryIdAtItsExpectedRate) {
+  // n = 20, k = 5 over 4000 draws: each id is expected 1000 times with a
+  // binomial std of ~27, so +-150 is a > 5-sigma band.
+  std::vector<int> hits(20, 0);
+  for (std::size_t round = 0; round < 4000; ++round)
+    for (auto p : draw_cohort(3, round, 0, 20, 5)) ++hits[p];
+  for (std::size_t id = 0; id < hits.size(); ++id) EXPECT_NEAR(hits[id], 1000, 150) << "id " << id;
+}
+
+/// FedAvg that checks each aggregation against the members' own
+/// data-weighted mean and records who took part.
+class CheckedFedAvg : public FedAvg {
+ public:
+  std::vector<std::vector<std::size_t>> cohorts_seen;
+  double max_error = 0.0;
+
+  std::vector<float> aggregate(SchedulingLoop& loop, const std::vector<std::size_t>& members,
+                               std::span<const float> w_prev, std::size_t round) override {
+    auto w_next = FedAvg::aggregate(loop, members, w_prev, round);
+    std::vector<double> mean(w_next.size(), 0.0);
+    double data = 0.0;
+    for (auto m : members) {
+      const Worker& w = loop.driver().worker(m);
+      const auto d = static_cast<double>(w.data_size());
+      data += d;
+      for (std::size_t j = 0; j < mean.size(); ++j) mean[j] += d * w.local_model()[j];
+    }
+    for (std::size_t j = 0; j < mean.size(); ++j)
+      max_error = std::max(max_error, std::abs(w_next[j] - mean[j] / data));
+    cohorts_seen.push_back(members);
+    return w_next;
+  }
+};
+
+TEST(CohortSampling, SampledFedAvgRoundIsTheSamplesDataWeightedMean) {
+  Fixture f(7, 40);
+  util::Rng rng(3);
+  f.cfg.partition = data::partition_dirichlet(f.data.train, 40, 0.5, rng);
+  ASSERT_NE(f.cfg.partition[0].size(), f.cfg.partition[1].size());  // weights matter
+  f.cfg.cohort_size = 6;
+  f.cfg.max_rounds = 3;
+  CheckedFedAvg fedavg;
+  static_cast<void>(fedavg.run(f.cfg));
+  ASSERT_EQ(fedavg.cohorts_seen.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r)  // FedAvg's cohort is 0..N-1: positions are ids
+    EXPECT_EQ(fedavg.cohorts_seen[r], draw_cohort(f.cfg.seed, r + 1, 0, 40, 6)) << "round " << r;
+  // beta = 1 over the sample: nothing of w_prev survives.
+  EXPECT_LT(fedavg.max_error, 1e-5);
+}
+
+TEST(CohortSampling, AggregationTotalScalesTheSampleToItsCohort) {
+  Fixture f(7, 20);
+  util::Rng rng(3);
+  f.cfg.partition = data::partition_dirichlet(f.data.train, 20, 0.5, rng);
+  Driver driver(f.cfg);
+  const auto total = static_cast<double>(driver.stats().total_size());
+  {
+    TiFL tifl(MechanismConfig{.tiers = 2});
+    SchedulingLoop loop(driver, tifl);
+    const std::vector<std::size_t> sample(loop.cohorts()[1].begin(),
+                                          loop.cohorts()[1].begin() + 3);
+    EXPECT_EQ(loop.aggregation_total(sample), total);  // no sampling: the population's D
+  }
+  f.cfg.cohort_size = 3;
+  Driver sampled(f.cfg);
+  TiFL tifl(MechanismConfig{.tiers = 2});
+  SchedulingLoop loop(sampled, tifl);
+  const auto& tier = loop.cohorts()[1];
+  const std::vector<std::size_t> sample(tier.begin(), tier.begin() + 3);
+  const auto d_sample = static_cast<double>(sampled.stats().group_size(sample));
+  const auto d_tier = static_cast<double>(sampled.stats().group_size(tier));
+  EXPECT_DOUBLE_EQ(loop.aggregation_total(sample), total * d_sample / d_tier);
+  // The sample's weight sum d_sample / D equals the full tier's d_tier / total.
+  EXPECT_DOUBLE_EQ(d_sample / loop.aggregation_total(sample), d_tier / total);
 }
 
 // -- aggregation-trigger hooks -----------------------------------------

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -196,6 +198,30 @@ TEST(EnergySubstrate, ChargingDrainsBudgetsAndCountsDepletions) {
   s->charge(1, 0.0);
   EXPECT_EQ(s->remaining_joules(1), 10.0);
   EXPECT_EQ(s->depleted_count(), 1u);
+}
+
+TEST(SubstrateGains, MemberGainsEqualTheFullVectorForEveryGenerator) {
+  // Static and churn+energy seek the fading stream; csi_error gathers
+  // from the estimate vector. Either way out[i] == gains(round)[m] exactly.
+  const std::vector<std::size_t> members = {699, 3, 3, 0, 312, 45, 698, 3};
+  for (const char* kind : {"static", "churn+energy", "csi_error", "churn+energy+csi_error"}) {
+    SubstrateOptions o;
+    sim::set_substrate_kind(o, kind);
+    auto s = make(o, 700);
+    for (std::size_t round : {1UL, 2UL, 9UL, 2UL}) {
+      std::vector<double> out;
+      s->gains_of(members, round, out);
+      const std::vector<double> all = s->gains(round);
+      ASSERT_EQ(out.size(), members.size());
+      for (std::size_t i = 0; i < members.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(all[members[i]]))
+            << kind << " worker " << members[i] << " round " << round;
+    }
+    std::vector<double> out;
+    EXPECT_THROW(s->gains_of(std::vector<std::size_t>{1, 700}, 1, out), std::out_of_range)
+        << kind;
+  }
 }
 
 TEST(CsiSubstrate, ScalesAreResidualFactorsAndCacheByRound) {

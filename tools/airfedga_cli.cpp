@@ -65,7 +65,8 @@ run / run-dir options:
                          and results are exported in variant order (byte-stable
                          output for every N)
   --sweep path=v1,v2,... grid over a spec field (repeatable; cartesian product),
-                         e.g. --sweep mechanisms.0.xi=0,0.1,0.3 --sweep run.seed=1,2
+                         e.g. --sweep mechanisms.0.xi=0,0.1,0.3 --sweep run.seed=1,2;
+                         replaces a study's own axis on the same path
   --out=DIR              results directory (default: scenario_results); writes
                          results.jsonl, summary.csv, points/*.csv
   --append               accumulate onto existing result files instead of
@@ -242,29 +243,26 @@ int run_variants(const scenario::cli::RunArgs& ra,
   return rc;
 }
 
+// One study's variants: its spec validated, its sweep grid expanded with
+// the --sweep axes merged in.
+std::vector<scenario::ScenarioSpec> study_variants(const std::string& source,
+                                                   const scenario::cli::RunArgs& ra) {
+  scenario::cli::Study study = scenario::cli::load_study(source);
+  study.spec.validate();
+  return scenario::cli::expand_study(study, ra.sweeps);
+}
+
 int cmd_run(const scenario::cli::RunArgs& ra) {
   if (ra.sources.size() != 1)
     return fail("run: need exactly one scenario (preset name, file, or `-` for stdin)");
-  scenario::cli::Study study = scenario::cli::load_study(ra.sources[0]);
-  study.spec.validate();
-
-  // Checked-in study axes expand first, CLI --sweep axes after them.
-  std::vector<scenario::SweepAxis> axes = study.sweeps;
-  axes.insert(axes.end(), ra.sweeps.begin(), ra.sweeps.end());
-  return run_variants(ra, expand_sweeps(study.spec, axes));
+  return run_variants(ra, study_variants(ra.sources[0], ra));
 }
 
 int cmd_run_dir(const scenario::cli::RunArgs& ra) {
   if (ra.sources.size() != 1) return fail("run-dir: need exactly one scenario directory");
-  const std::vector<std::string> files = scenario::cli::list_scenario_files(ra.sources[0]);
-
   std::vector<scenario::ScenarioSpec> variants;
-  for (const auto& file : files) {
-    scenario::cli::Study study = scenario::cli::load_study(file);
-    study.spec.validate();
-    std::vector<scenario::SweepAxis> axes = study.sweeps;
-    axes.insert(axes.end(), ra.sweeps.begin(), ra.sweeps.end());
-    std::vector<scenario::ScenarioSpec> expanded = expand_sweeps(study.spec, axes);
+  for (const auto& file : scenario::cli::list_scenario_files(ra.sources[0])) {
+    std::vector<scenario::ScenarioSpec> expanded = study_variants(file, ra);
     std::printf("%s: %zu variant(s)\n", file.c_str(), expanded.size());
     for (auto& v : expanded) variants.push_back(std::move(v));
   }
