@@ -1,5 +1,7 @@
 #pragma once
 
+#include <atomic>
+#include <future>
 #include <span>
 #include <vector>
 
@@ -20,6 +22,15 @@ namespace airfedga::channel {
 /// *total* AWGN energy of the vector z_t. We therefore draw z_t with
 /// per-component variance sigma0^2 / q, making E||z_t||^2 = sigma0^2 for
 /// any model dimension q.
+///
+/// z_t does not depend on the models, so the channel draws it one step
+/// ahead: once z_t is in the superposition, the draw of z_{t+1} goes to
+/// `util::global_pool()` and overlaps the next group's training. The draws
+/// come from the channel's own stream in the same order as an inline draw,
+/// so every aggregation's bits are unchanged. The first aggregation, a
+/// noiseless channel (sigma0_sq = 0, nothing drawn) and a 0-thread pool
+/// draw inline. The lookahead fixes the dimension q at the first draw; a
+/// later aggregation at another q throws std::logic_error.
 class AirCompChannel {
  public:
   struct Config {
@@ -28,6 +39,14 @@ class AirCompChannel {
   };
 
   explicit AirCompChannel(Config cfg);
+
+  /// Stops an in-flight lookahead draw (checked every few thousand
+  /// components) and waits for it, so teardown never waits out a full draw.
+  ~AirCompChannel();
+
+  // A pool task holds `this` while it draws.
+  AirCompChannel(const AirCompChannel&) = delete;
+  AirCompChannel& operator=(const AirCompChannel&) = delete;
 
   struct Input {
     std::span<const float> w_prev;                   ///< w_{t-1}
@@ -41,6 +60,9 @@ class AirCompChannel {
     /// classic path). Transmit energies are unaffected — the worker spends
     /// power according to its (mis)estimate.
     std::vector<double> csi_scale;
+    /// Per-worker ||w^i_t||^2 when the caller already has it (the Driver
+    /// caches it at the end of local training). Empty = computed here.
+    std::vector<double> model_norm_sq;
     double sigma = 1.0;                              ///< power scaling sigma_t
     double eta = 1.0;                                ///< denoising factor eta_t
     double total_data = 1.0;                         ///< D
@@ -53,7 +75,8 @@ class AirCompChannel {
     double beta = 0.0;               ///< beta_jt = D_jt / D
   };
 
-  /// Performs one over-the-air aggregation round.
+  /// Performs one over-the-air aggregation round. Called from one thread
+  /// at a time.
   Output aggregate(const Input& in);
 
   /// Error-free ideal aggregation (Eq. 8); used by the OMA mechanisms and
@@ -66,13 +89,24 @@ class AirCompChannel {
   [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
+  /// Draws q components of z into noise_ from rng_, in stream order.
+  void fill_noise(std::size_t q, double noise_std);
+
   Config cfg_;
   util::Rng rng_;
+  std::vector<double> y_;      ///< superposition scratch, reused across calls
+  std::vector<double> noise_;  ///< z for the next aggregation
+  std::size_t noise_q_ = 0;    ///< dimension of the noise stream (0 = nothing drawn yet)
+  std::atomic<bool> stop_{false};
+  std::future<void> lookahead_;  ///< in-flight fill of noise_; declared after what it uses
 };
 
 /// Transmission energy of one worker for one aggregation (Eq. 7):
 /// E = || p w ||^2 = (d * sigma / h)^2 * ||w||^2.
 double transmit_energy(double data_size, double sigma, double gain,
                        std::span<const float> model);
+
+/// Eq. 7 from a precomputed ||w||^2.
+double transmit_energy(double data_size, double sigma, double gain, double model_norm_sq);
 
 }  // namespace airfedga::channel

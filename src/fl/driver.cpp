@@ -489,6 +489,7 @@ std::vector<float> Driver::aircomp_aggregate(const std::vector<std::size_t>& mem
   for (auto m : members) {
     const Worker& w = worker(m);
     in.local_models.push_back(w.local_model());
+    in.model_norm_sq.push_back(w.model_norm_sq());
     in.data_sizes.push_back(static_cast<double>(w.data_size()));
     if (!csi.empty()) {
       in.csi_scale.push_back(csi[m]);

@@ -33,6 +33,7 @@ void Worker::rebind(std::size_t id, std::span<const std::size_t> shard, util::Rn
   shard_ = shard;
   rng_ = rng;
   local_model_.clear();
+  model_norm_sq_ = 0.0;
 }
 
 void Worker::replay_rng(std::size_t draws, std::size_t batch_size) {
@@ -62,9 +63,8 @@ double Worker::local_update(ml::Model& scratch, std::span<const float> global_mo
     loss_sum += scratch.train_step(xb_, yb_, lr);
   }
   scratch.parameters_into(local_model_);
+  model_norm_sq_ = ml::squared_norm(local_model_);
   return loss_sum / static_cast<double>(steps);
 }
-
-double Worker::model_norm_sq() const { return ml::squared_norm(local_model_); }
 
 }  // namespace airfedga::fl

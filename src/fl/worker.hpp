@@ -56,8 +56,9 @@ class Worker {
   [[nodiscard]] std::span<const float> local_model() const { return local_model_; }
   [[nodiscard]] bool has_model() const { return !local_model_.empty(); }
 
-  /// Squared L2 norm of the local model (for the W_t bound of Assumption 4).
-  [[nodiscard]] double model_norm_sq() const;
+  /// Squared L2 norm of the local model (for the W_t bound of Assumption 4
+  /// and the Eq. 7 transmit energy), computed once when training stores it.
+  [[nodiscard]] double model_norm_sq() const { return model_norm_sq_; }
 
   [[nodiscard]] std::span<const std::size_t> shard() const { return shard_; }
 
@@ -83,6 +84,7 @@ class Worker {
   std::vector<std::size_t> owned_shard_;   ///< backing storage for the vector ctor only
   std::span<const std::size_t> shard_;     ///< the active shard view
   std::vector<float> local_model_;
+  double model_norm_sq_ = 0.0;  ///< ||local_model_||^2, kept in step with it
   util::Rng rng_;
 
   // Reused per-step buffers: local training allocates nothing once these

@@ -32,15 +32,8 @@ constexpr std::size_t kNC = 256;
 // FMA rounding differs, so results are deterministic on a given machine
 // (and lane-count-independent everywhere) but may differ across ISAs —
 // same status as changing compilers (see docs/ARCHITECTURE.md).
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define AIRFEDGA_NO_KERNEL_CLONES 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define AIRFEDGA_NO_KERNEL_CLONES 1
-#endif
-#endif
-#if defined(__x86_64__) && defined(__linux__) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(AIRFEDGA_NO_KERNEL_CLONES)
+// The build condition is AIRFEDGA_GEMM_KERNEL_CLONES in gemm.hpp.
+#if AIRFEDGA_GEMM_KERNEL_CLONES
 #define AIRFEDGA_KERNEL_CLONES __attribute__((target_clones("default", "avx2", "avx512f")))
 #else
 #define AIRFEDGA_KERNEL_CLONES

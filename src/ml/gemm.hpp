@@ -2,6 +2,36 @@
 
 #include <cstddef>
 
+/// 1 when the hot GEMM kernel is built as `target_clones` (default, avx2,
+/// avx512f; x86-64 Linux with GCC or Clang, not under ASan or TSan), 0
+/// otherwise. Without the clones the kernel runs the baseline ISA with no
+/// FMA, so its rounding, and every digest downstream of it, differs from a
+/// build that has them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AIRFEDGA_GEMM_KERNEL_CLONES 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AIRFEDGA_GEMM_KERNEL_CLONES 0
+#endif
+#endif
+#if !defined(AIRFEDGA_GEMM_KERNEL_CLONES)
+#if defined(__x86_64__) && defined(__linux__) && (defined(__GNUC__) || defined(__clang__))
+#define AIRFEDGA_GEMM_KERNEL_CLONES 1
+#else
+#define AIRFEDGA_GEMM_KERNEL_CLONES 0
+#endif
+#endif
+
+/// 1 when GEMM rounding matches the build the golden digests were pinned
+/// in: kernel clones present and an optimized build (at -O0 the compiler
+/// contracts no multiply-add into an FMA, clones or not). Tests assert
+/// pinned digest hex only when this is 1.
+#if AIRFEDGA_GEMM_KERNEL_CLONES && defined(__OPTIMIZE__)
+#define AIRFEDGA_GEMM_PINNED_DIGESTS 1
+#else
+#define AIRFEDGA_GEMM_PINNED_DIGESTS 0
+#endif
+
 namespace airfedga::ml {
 
 /// Operand orientation for `sgemm` (row-major storage throughout).

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -167,6 +168,28 @@ ThreadSweepResult run_thread_sweep(const ScenarioSpec& spec,
   return sweep;
 }
 
+namespace {
+// Runs `worker` on `jobs` threads, or inline when jobs == 1 (the serial
+// reference schedule: no extra thread at all). Job threads run inside a
+// SerialRegion: the jobs are the one level of parallelism, so a variant's
+// kernels stay on its own lanes instead of fanning out to the global pool,
+// which is left to the AirComp noise lookahead.
+void run_jobs(std::size_t jobs, const std::function<void()>& worker) {
+  if (jobs == 1) {
+    worker();
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(jobs);
+  for (std::size_t j = 0; j < jobs; ++j)
+    pool.emplace_back([&worker] {
+      util::ThreadPool::SerialRegion serial;
+      worker();
+    });
+  for (auto& t : pool) t.join();
+}
+}  // namespace
+
 BatchRunResult run_scenarios(const std::vector<ScenarioSpec>& variants, const RunOverrides& ov,
                              const BatchRunOptions& opt) {
   BatchRunResult out;
@@ -226,14 +249,7 @@ BatchRunResult run_scenarios(const std::vector<ScenarioSpec>& variants, const Ru
     }
   };
 
-  if (jobs == 1) {
-    worker();  // serial reference schedule: no extra thread at all
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  run_jobs(jobs, worker);
   if (first_error) std::rethrow_exception(first_error);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -899,14 +915,7 @@ FarmResult run_farm(const std::vector<ScenarioSpec>& variants, const std::string
     }
   };
 
-  if (jobs == 1) {
-    worker();  // serial reference schedule: no extra thread at all
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  run_jobs(jobs, worker);
   if (first_error) std::rethrow_exception(first_error);
 
   // Tally and decide whether the batch was interrupted: any owned,

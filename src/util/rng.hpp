@@ -25,7 +25,11 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Standard normal (optionally scaled/shifted).
+  /// Standard normal (optionally scaled/shifted). Each call builds a fresh
+  /// std::normal_distribution, so the second variate of the polar method
+  /// is deliberately discarded: two engine draws per call at best. Every
+  /// pinned golden digest is computed from this stream, so keeping the
+  /// spare variate (or any other sampler) would change every digest.
   double normal(double mean = 0.0, double stddev = 1.0);
 
   /// Rayleigh-distributed magnitude with the given scale parameter.

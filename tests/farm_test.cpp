@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -310,9 +311,18 @@ TEST_F(FarmTest, HungVariantIsCancelledByTheWatchdogAndQuarantined) {
   json_set_path(slow, "run.max_rounds", Json(100000000));
   variants[1] = ScenarioSpec::from_json(slow);
 
+  // The watchdog must leave the healthy variants room to finish in this
+  // build (a sanitizer build runs them ~10x slower than Release), so it is
+  // set from their measured wall time: four times what both take together.
+  TempDir healthy_dir;
+  const auto t0 = std::chrono::steady_clock::now();
+  run_farm({variants[0], variants[2]}, healthy_dir.path.string(), {}, {}, no_timing());
+  const double healthy_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
   TempDir dir;
   FarmOptions fo;
-  fo.variant_timeout = 0.05;
+  fo.variant_timeout = std::max(0.05, 4.0 * healthy_s);
   fo.backoff_base = 0.01;
   const FarmResult fr = run_farm(variants, dir.path.string(), {}, fo, no_timing());
   EXPECT_EQ(fr.failed, 1u);
